@@ -1,6 +1,11 @@
 """Experiment runner: compiles and simulates workloads under the paper's
 configurations, checking semantic equivalence of every compiled variant.
 
+Each (program, configuration) cell interprets its program once.  That one
+run checks the output against the BB cell's, counts dynamic blocks and,
+with ``timing``, drives the cycle model; the BB cell's run also collects
+the profile that the formed configurations are built from.
+
 This is the machinery behind Tables 1-3 and Figure 7; the table-specific
 drivers live in :mod:`repro.harness.tables`.
 """
@@ -22,7 +27,7 @@ from repro.core.policies import (
 from repro.ir.function import Module
 from repro.ir.verify import verify_module
 from repro.opt.pipeline import optimize_module
-from repro.profiles.collect import collect_profile
+from repro.profiles.collect import ProfileCollector
 from repro.profiles.data import ProfileData
 from repro.sim.functional import run_module
 from repro.sim.machine import MachineConfig
@@ -143,15 +148,29 @@ class WorkloadExperiment:
     max_blocks: int = 5_000_000
     results: dict[str, RunResult] = field(default_factory=dict)
     _reference: object = None
+    _profile: Optional[ProfileData] = None
 
     def _measure(self, module: Module, config_name: str, mtup) -> RunResult:
+        """Run ``module`` once: check its output against the first cell's,
+        count its blocks and, with ``timing``, its cycles.  The BB cell's
+        run also collects the profile the other configurations form with."""
         wl = self.workload
-        result, fstats, memory = run_module(
-            module.copy(),
+        collector = ProfileCollector(module) if config_name == "BB" else None
+        run_args = dict(
             args=wl.args,
             preload={k: list(v) for k, v in wl.preload.items()},
             max_blocks=self.max_blocks,
+            trace=collector.on_block if collector is not None else None,
         )
+        if self.timing:
+            tstats = simulate_cycles(module, config=self.machine, **run_args)
+            result, fstats, memory = tstats.result, tstats.functional, tstats.memory
+            cycles, mispredictions = tstats.cycles, tstats.mispredictions
+        else:
+            result, fstats, memory = run_module(module, **run_args)
+            cycles = mispredictions = 0
+        if collector is not None:
+            self._profile = collector.profile
         if self._reference is None:
             self._reference = (result, memory)
         elif (result, memory) != self._reference:
@@ -159,18 +178,6 @@ class WorkloadExperiment:
                 f"{wl.name}/{config_name}: compiled program output differs "
                 f"({result!r} != {self._reference[0]!r})"
             )
-        cycles = 0
-        mispredictions = 0
-        if self.timing:
-            tstats = simulate_cycles(
-                module,
-                args=wl.args,
-                preload={k: list(v) for k, v in wl.preload.items()},
-                config=self.machine,
-                max_blocks=self.max_blocks,
-            )
-            cycles = tstats.cycles
-            mispredictions = tstats.mispredictions
         run = RunResult(
             workload=wl.name,
             config=config_name,
@@ -185,13 +192,8 @@ class WorkloadExperiment:
 
     def run(self, configs: dict[str, Configurator]) -> dict[str, RunResult]:
         base = self.workload.module()
-        profile = collect_profile(
-            base.copy(),
-            args=self.workload.args,
-            preload={k: list(v) for k, v in self.workload.preload.items()},
-            max_blocks=self.max_blocks,
-        )
         self._measure(base.copy(), "BB", (0, 0, 0, 0))
+        profile, self._profile = self._profile, None
         for name, configure in configs.items():
             module = base.copy()
             stats = configure(module, profile)

@@ -54,8 +54,9 @@ class ProfileCollector:
 
     # -- trace hook -----------------------------------------------------
 
-    def _on_block(self, func: str, block: str, fired, depth: int,
-                  nullified: tuple = ()) -> None:
+    def on_block(self, func: str, block: str, fired, depth: int,
+                 nullified: tuple = ()) -> None:
+        """Interpreter trace hook; it can ride along on any run."""
         profile = self.profile
         profile.record_block(func, block)
         target = fired.target if fired.op is Opcode.BR else None
@@ -88,7 +89,7 @@ class ProfileCollector:
 
     def run(self, args: tuple = (), preload: Optional[dict[int, list]] = None,
             func_name: str = "main", max_blocks: int = 5_000_000):
-        interp = Interpreter(self.module, max_blocks=max_blocks, trace=self._on_block)
+        interp = Interpreter(self.module, max_blocks=max_blocks, trace=self.on_block)
         if preload:
             for base, values in preload.items():
                 interp.preload(base, values)

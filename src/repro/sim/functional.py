@@ -269,9 +269,10 @@ def run_module(
     preload: Optional[dict[int, list]] = None,
     max_blocks: int = 5_000_000,
     max_steps: int = 100_000_000,
+    trace: Optional[Callable] = None,
 ) -> tuple[object, SimStats, dict[int, object]]:
     """Convenience wrapper: run ``main`` and return (result, stats, memory)."""
-    interp = Interpreter(module, max_blocks=max_blocks, max_steps=max_steps)
+    interp = Interpreter(module, max_blocks, max_steps, trace)
     if preload:
         for base, values in preload.items():
             interp.preload(base, values)

@@ -19,18 +19,24 @@ effects the paper's evaluation hinges on:
   small blocks waste window capacity.
 
 Within a block the schedule is a greedy list schedule over the dataflow
-graph; across blocks, register ready times are forwarded and fetch is
-pipelined.  The simulation is O(dynamic instructions).
+graph, with each operand's in-block producer precompiled once per block;
+across blocks, register ready times are forwarded and fetch is pipelined.
+The simulation is O(dynamic instructions).
+
+The model is a trace hook on the functional interpreter, so a timing run
+is also the functional run: :class:`TimingStats` carries the program's
+result, memory and :class:`SimStats`, and an extra ``trace`` hook can ride
+along on the same run (see ``docs/TIMING_MODEL.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.ir.function import Module
 from repro.ir.opcodes import Opcode
-from repro.sim.functional import Interpreter
+from repro.sim.functional import Interpreter, SimStats
 from repro.sim.machine import TRIPS_MACHINE, MachineConfig
 from repro.sim.predictor import NextBlockPredictor
 
@@ -44,8 +50,11 @@ class TimingStats:
     instructions: int = 0
     mispredictions: int = 0
     flushes: int = 0
-    #: dynamic blocks per (func, block-name) for hot-spot reporting
-    block_counts: dict = field(default_factory=dict)
+    #: functional outcome of the same run: ``main``'s return value, the
+    #: final memory and the interpreter's counters
+    result: object = None
+    memory: dict = field(default_factory=dict)
+    functional: Optional[SimStats] = None
 
     @property
     def misprediction_rate(self) -> float:
@@ -63,23 +72,44 @@ class TimingStats:
 
 
 class _BlockTiming:
-    """Static per-block information reused across dynamic executions."""
+    """Static per-block information reused across dynamic executions.
 
-    __slots__ = ("instrs", "size", "fetch_cycles")
+    Every operand is precompiled to a slot of the ``done_at`` list: its
+    static producer (the register's last writer earlier in the block,
+    nullified or not), else a live-in slot after the instructions' slots.
+    """
+
+    __slots__ = ("instrs", "livein", "outputs", "fired_slot", "size",
+                 "fetch_cycles")
 
     def __init__(self, block, config: MachineConfig):
-        # Precompile to (latency, srcs, pred_reg, dest, uid).
+        instrs = block.instrs
+        size = self.size = len(instrs)
+        writer: dict[int, int] = {}
+        livein: dict[int, int] = {}
+
+        def slot(reg: int) -> int:
+            if reg in writer:
+                return writer[reg]
+            return size + livein.setdefault(reg, len(livein))
+
+        # Precompile to (index, latency + route, operand slots, predicate slot).
         self.instrs = []
-        for instr in block.instrs:
-            latency = instr.latency
+        for index, instr in enumerate(instrs):
+            latency = instr.latency + config.route_latency
             if instr.op is Opcode.LOAD:
                 latency += config.load_extra
-            pred_reg = instr.pred.reg if instr.pred is not None else None
-            self.instrs.append(
-                (latency, instr.srcs, pred_reg, instr.dest, instr.uid)
-            )
-        self.size = len(block.instrs)
-        self.fetch_cycles = config.block_fetch_cycles(self.size)
+            pred = slot(instr.pred.reg) if instr.pred is not None else None
+            operands = tuple(slot(reg) for reg in instr.srcs)
+            if pred is not None:
+                operands += (pred,)
+            self.instrs.append((index, latency, operands, pred))
+            if instr.dest is not None:
+                writer[instr.dest] = index
+        self.livein = tuple(livein)
+        self.outputs = tuple(writer.items())
+        self.fired_slot = {instr.uid: i for i, instr in enumerate(instrs)}
+        self.fetch_cycles = config.block_fetch_cycles(size)
 
 
 class TimingSimulator:
@@ -96,9 +126,11 @@ class TimingSimulator:
         self.predictor = predictor or NextBlockPredictor()
         self.stats = TimingStats()
         self._block_cache: dict[tuple[str, str], _BlockTiming] = {}
-        # Microarchitectural clock state.
-        self._reg_ready: dict[tuple[str, int], int] = {}
+        # Microarchitectural clock state.  Register ready times are keyed
+        # by function, not by activation (see docs/TIMING_MODEL.md).
+        self._reg_ready: dict[str, dict[int, int]] = {}
         self._issued: dict[int, int] = {}
+        self._issue_floor = 0
         self._next_fetch = 0
         self._commit_times: list[int] = []
         self._last_commit = 0
@@ -111,37 +143,25 @@ class TimingSimulator:
         preload: Optional[dict[int, list]] = None,
         func_name: str = "main",
         max_blocks: int = 5_000_000,
+        trace: Optional[Callable] = None,
     ) -> TimingStats:
-        interp = Interpreter(
-            self.module, max_blocks=max_blocks, trace=self._on_block
-        )
+        hook = self._on_block
+        if trace is not None:
+            def hook(*event):
+                self._on_block(*event)
+                trace(*event)
+        interp = Interpreter(self.module, max_blocks=max_blocks, trace=hook)
         if preload:
             for base, values in preload.items():
                 interp.preload(base, values)
-        interp.run(func_name, args)
-        self.stats.cycles = self._last_commit
-        return self.stats
+        stats = self.stats
+        stats.result = interp.run(func_name, args)
+        stats.memory = interp.memory
+        stats.functional = interp.stats
+        stats.cycles = self._last_commit
+        return stats
 
     # -- per-block timing ------------------------------------------------------
-
-    def _block_timing(self, func_name: str, block_name: str) -> _BlockTiming:
-        key = (func_name, block_name)
-        cached = self._block_cache.get(key)
-        if cached is None:
-            block = self.module.function(func_name).blocks[block_name]
-            cached = _BlockTiming(block, self.config)
-            self._block_cache[key] = cached
-        return cached
-
-    def _issue_slot(self, ready: int) -> int:
-        """Earliest cycle >= ready with a free issue slot."""
-        issued = self._issued
-        width = self.config.issue_width
-        t = ready
-        while issued.get(t, 0) >= width:
-            t += 1
-        issued[t] = issued.get(t, 0) + 1
-        return t
 
     def _on_block(
         self,
@@ -155,8 +175,10 @@ class TimingSimulator:
         stats = self.stats
         stats.blocks += 1
         key = (func_name, block_name)
-        stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
-        timing = self._block_timing(func_name, block_name)
+        timing = self._block_cache.get(key)
+        if timing is None:
+            block = self.module.function(func_name).blocks[block_name]
+            timing = self._block_cache[key] = _BlockTiming(block, config)
 
         # Fetch: pipelined behind the previous block, limited by the window.
         fetch = self._next_fetch
@@ -170,50 +192,37 @@ class TimingSimulator:
         # after its predicate arrives, without taking an issue slot — this
         # is why a long dependence chain on a falsely-predicated path does
         # not delay block commit on an EDGE machine (paper, Section 5).
-        reg_ready = self._reg_ready
-        local: dict[int, int] = {}
-        branch_resolve = map_done
+        reg_ready = self._reg_ready.get(func_name)
+        if reg_ready is None:
+            reg_ready = self._reg_ready[func_name] = {}
+        get = reg_ready.get
+        done_at = [0] * timing.size
+        done_at += [get(reg, 0) for reg in timing.livein]
         block_done = map_done
-        route = config.route_latency
-        fired_uid = fired.uid
-        nullified_set = set(nullified)
-        executed = 0
-        for index, (latency, srcs, pred_reg, dest, uid) in enumerate(
-            timing.instrs
-        ):
-            if index in nullified_set:
-                t = local.get(pred_reg)
-                if t is None:
-                    t = reg_ready.get((func_name, pred_reg), 0)
-                done = max(map_done, t) + 1
-                if dest is not None:
-                    local[dest] = done
-                if done > block_done:
-                    block_done = done
-                continue
-            ready = map_done
-            for reg in srcs:
-                t = local.get(reg)
-                if t is None:
-                    t = reg_ready.get((func_name, reg), 0)
-                if t > ready:
-                    ready = t
-            if pred_reg is not None:
-                t = local.get(pred_reg)
-                if t is None:
-                    t = reg_ready.get((func_name, pred_reg), 0)
-                if t > ready:
-                    ready = t
-            start = self._issue_slot(ready)
-            done = start + latency + route
-            executed += 1
-            if dest is not None:
-                local[dest] = done
+        issued = self._issued
+        width = config.issue_width
+        skip = set(nullified) if nullified else ()
+        for index, latency, operands, pred in timing.instrs:
+            if index in skip:
+                t = done_at[pred]
+                done = (t if t > map_done else map_done) + 1
+            else:
+                ready = map_done
+                for slot in operands:
+                    t = done_at[slot]
+                    if t > ready:
+                        ready = t
+                # Earliest cycle >= ready with a free issue slot.
+                taken = issued.get(ready, 0)
+                while taken >= width:
+                    ready += 1
+                    taken = issued.get(ready, 0)
+                issued[ready] = taken + 1
+                done = ready + latency
+            done_at[index] = done
             if done > block_done:
                 block_done = done
-            if uid == fired_uid:
-                branch_resolve = done
-        stats.instructions += executed
+        stats.instructions += timing.size - len(nullified)
 
         # Commit: in order, all outputs produced.
         commit = max(block_done, self._last_commit) + config.commit_overhead
@@ -224,8 +233,8 @@ class TimingSimulator:
 
         # Forward register outputs to later blocks.
         forward = config.interblock_forward
-        for reg, t in local.items():
-            reg_ready[(func_name, reg)] = t + forward
+        for reg, index in timing.outputs:
+            reg_ready[reg] = done_at[index] + forward
 
         # Next-block prediction decides where fetch resumes.
         is_return = fired.op is Opcode.RET
@@ -238,14 +247,16 @@ class TimingSimulator:
         else:
             stats.mispredictions += 1
             stats.flushes += 1
-            self._next_fetch = branch_resolve + config.mispredict_penalty
+            self._next_fetch = (
+                done_at[timing.fired_slot[fired.uid]] + config.mispredict_penalty
+            )
 
-        # Keep the issue table from growing without bound.
-        if len(self._issued) > 65536:
-            horizon = self._last_commit - 1024
-            self._issued = {
-                t: n for t, n in self._issued.items() if t >= horizon
-            }
+        # Retire issue slots no later block can use: fetch never moves
+        # backwards, and no instruction issues before its block is mapped.
+        floor = self._next_fetch + config.map_latency
+        for t in range(self._issue_floor, floor):
+            issued.pop(t, None)
+        self._issue_floor = floor
 
 
 def simulate_cycles(
@@ -254,7 +265,11 @@ def simulate_cycles(
     preload: Optional[dict[int, list]] = None,
     config: Optional[MachineConfig] = None,
     max_blocks: int = 5_000_000,
+    trace: Optional[Callable] = None,
 ) -> TimingStats:
-    """Convenience wrapper: timing-simulate ``main(*args)``."""
+    """Convenience wrapper: timing-simulate ``main(*args)``; ``trace`` is
+    an extra :class:`Interpreter` hook, called after the model's own."""
     sim = TimingSimulator(module, config=config)
-    return sim.run(args=args, preload=preload, max_blocks=max_blocks)
+    return sim.run(
+        args=args, preload=preload, max_blocks=max_blocks, trace=trace
+    )

@@ -10,8 +10,12 @@ from repro.harness import (
     table1,
     table3,
 )
+from repro.core.merge import MergeStats
 from repro.harness.cli import run as cli_run
+from repro.profiles import collect_profile
+from repro.sim.functional import Interpreter
 from repro.workloads.microbench import MICROBENCHMARKS, Workload
+from repro.workloads.spec import SPEC_BENCHMARKS
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +58,8 @@ def test_table3_counts_blocks_without_timing():
 
 
 def test_experiment_detects_miscompilation():
-    """The harness cross-checks every configuration's output."""
+    """The harness cross-checks every configuration's output, with and
+    without timing."""
 
     def evil(module, profile):
         # Sabotage: change a constant in the program.
@@ -64,13 +69,57 @@ def test_experiment_detects_miscompilation():
             if instr.op is Opcode.MOVI and isinstance(instr.imm, int):
                 instr.imm += 1
                 break
-        from repro.core.merge import MergeStats
-
         return MergeStats()
 
-    experiment = WorkloadExperiment(workload=MICROBENCHMARKS["vadd"], timing=False)
-    with pytest.raises(ExperimentError, match="differs"):
-        experiment.run({"evil": evil})
+    for timing in (False, True):
+        experiment = WorkloadExperiment(
+            workload=MICROBENCHMARKS["vadd"], timing=timing
+        )
+        with pytest.raises(ExperimentError, match="differs"):
+            experiment.run({"evil": evil})
+
+
+@pytest.mark.parametrize("timing", [False, True])
+@pytest.mark.parametrize(
+    "workload",
+    [MICROBENCHMARKS["sieve"], SPEC_BENCHMARKS["gap"]],
+    ids=lambda wl: wl.name,
+)
+def test_bb_cell_profile_matches_collect_profile(workload, timing):
+    """The profile collected on the BB cell's run is the one a separate
+    profiling run would give (``gap`` has calls: callee blocks count too)."""
+    seen = []
+
+    def capture(module, profile):
+        seen.append(profile)
+        return MergeStats()
+
+    WorkloadExperiment(workload=workload, timing=timing).run({"capture": capture})
+    alone = collect_profile(
+        workload.module(), args=workload.args,
+        preload={k: list(v) for k, v in workload.preload.items()},
+    )
+    (fused,) = seen
+    assert alone.trip_histograms, "workload should loop"
+    assert fused.block_counts == alone.block_counts
+    assert fused.edge_counts == alone.edge_counts
+    assert fused.trip_histograms == alone.trip_histograms
+    assert fused.total_blocks == alone.total_blocks
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_experiment_interprets_each_cell_once(monkeypatch, timing):
+    runs = []
+    interpreter_run = Interpreter.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self)
+        return interpreter_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpreter, "run", counting_run)
+    configs = {name: ordering_config(name) for name in ("IUPO", "(IUPO)")}
+    WorkloadExperiment(workload=MICROBENCHMARKS["vadd"], timing=timing).run(configs)
+    assert len(runs) == 1 + len(configs)
 
 
 def test_cli_subset_and_out(tmp_path):
