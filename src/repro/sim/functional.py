@@ -99,7 +99,8 @@ class Interpreter:
         self.trace = trace
         self.memory: dict[int, object] = {}
         self.stats = SimStats()
-        self._compiled: dict[tuple[str, str], list] = {}
+        #: compiled blocks, one dict per function name
+        self._compiled: dict[str, dict[str, list]] = {}
         self._call_depth = 0
         self._max_call_depth = 200
 
@@ -148,14 +149,6 @@ class Interpreter:
             compiled.append(entry)
         return compiled
 
-    def _compiled_block(self, func: Function, block_name: str) -> list:
-        key = (func.name, block_name)
-        cached = self._compiled.get(key)
-        if cached is None:
-            cached = self._compile_block(func, block_name)
-            self._compiled[key] = cached
-        return cached
-
     # -- execution --------------------------------------------------------
 
     def run(self, func_name: str = "main", args: tuple = ()) -> object:
@@ -179,6 +172,7 @@ class Interpreter:
             stats = self.stats
             memory = self.memory
             get = regs.get
+            compiled = self._compiled.setdefault(func_name, {})
             while True:
                 stats.blocks_executed += 1
                 if stats.blocks_executed > self.max_blocks:
@@ -190,21 +184,28 @@ class Interpreter:
                     raise SimulationError("dynamic step limit exceeded")
                 key = (func_name, block_name)
                 stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
+                code = compiled.get(block_name)
+                if code is None:
+                    code = compiled[block_name] = self._compile_block(
+                        func, block_name
+                    )
                 fired: Optional[Instruction] = None
                 fired_target: Optional[str] = None
                 is_return = False
                 ret_value: object = 0
                 nullified: list[int] = []
+                # Instruction counts are added once per block; a call first
+                # flushes the part of the block before it, so every
+                # block-start step check sees exact totals.
+                flushed_executed = flushed_nullified = 0
                 for index, (kind, aux, dest, srcs, guard, instr) in enumerate(
-                    self._compiled_block(func, block_name)
+                    code
                 ):
                     if guard is not None:
                         pval = get(guard[0], 0)
                         if bool(pval) != guard[1]:
-                            stats.instrs_nullified += 1
                             nullified.append(index)
                             continue
-                    stats.instrs_executed += 1
                     if kind == _K_BIN:
                         regs[dest] = aux(get(srcs[0], 0), get(srcs[1], 0))
                     elif kind == _K_MOVI:
@@ -236,6 +237,13 @@ class Interpreter:
                         ret_value = get(srcs[0], 0) if srcs else 0
                     elif kind == _K_CALL:
                         stats.calls += 1
+                        executed = index + 1 - len(nullified)
+                        stats.instrs_executed += executed - flushed_executed
+                        stats.instrs_nullified += (
+                            len(nullified) - flushed_nullified
+                        )
+                        flushed_executed = executed
+                        flushed_nullified = len(nullified)
                         call_args = tuple(get(s, 0) for s in srcs)
                         regs[dest] = self._call(aux, call_args)
                     elif kind == _K_NOT:
@@ -245,6 +253,10 @@ class Interpreter:
                     elif kind == _K_NULL:
                         if dest is not None:
                             regs[dest] = 0
+                stats.instrs_executed += (
+                    len(code) - len(nullified) - flushed_executed
+                )
+                stats.instrs_nullified += len(nullified) - flushed_nullified
                 if fired is None:
                     raise SimulationError(
                         f"@{func_name}/{block_name}: no branch fired"

@@ -67,6 +67,54 @@ def test_nullified_instructions_counted():
     assert stats.instrs_nullified == 1
 
 
+
+def _nullified_call_module():
+    """``main`` nullifies one instruction on each side of a call to a
+    three-trip counting loop, then branches to a one-instruction tail."""
+    fb = FunctionBuilder("main", nparams=1)
+    fb.block("entry")
+    p = fb.tlt(0, fb.movi(5))  # true for the argument 1
+    fb.movi(1, pred=Predicate(p, True))
+    fb.movi(2, pred=Predicate(p, False))  # nullified before the call
+    result = fb.call("loop")
+    fb.movi(3, pred=Predicate(p, False))  # nullified after the call
+    fb.br("tail")
+    fb.block("tail")
+    fb.ret(result)
+    return build_module(fb.finish(), make_counting_loop(bound=3, name="loop"))
+
+
+# Instruction events (executed + nullified) counted when each dynamic block
+# starts: main/entry, loop/entry (main's events up to and including the
+# call), four loop/head (3 instructions, 1 nullified) interleaved with three
+# loop/body (6), loop/exit, and main/tail after the rest of main/entry.
+_BLOCK_START_EVENTS = [0, 5, 9, 12, 18, 21, 27, 30, 36, 39, 42]
+
+
+def test_instruction_counts_across_a_call():
+    result, stats, _ = run_module(_nullified_call_module(), args=(1,))
+    assert result == 3
+    assert stats.blocks_executed == len(_BLOCK_START_EVENTS)
+    # main: 5 executed + 2 nullified in entry, 1 in tail; loop: 4 + 4*2 +
+    # 3*6 + 1 executed, 4 nullified (one BR per head execution).
+    assert stats.instrs_executed == 6 + 31
+    assert stats.instrs_nullified == 2 + 4
+
+
+@pytest.mark.parametrize("budget", range(44))
+def test_step_limit_raises_at_the_same_block_start(budget):
+    """The step check runs at block start, and a call flushes its block's
+    counts first, so the callee's blocks see the caller's events."""
+    interp = Interpreter(_nullified_call_module(), max_steps=budget)
+    over = [k for k, events in enumerate(_BLOCK_START_EVENTS, 1)
+            if events > budget]
+    if over:
+        with pytest.raises(SimulationError, match="step limit"):
+            interp.run("main", (1,))
+        assert interp.stats.blocks_executed == over[0]
+    else:
+        assert interp.run("main", (1,)) == 3
+
 def test_memory_load_store():
     fb = FunctionBuilder("main", nparams=1)
     fb.block("entry")
