@@ -1,11 +1,6 @@
 """CFG analyses: dominators, loops, liveness, dependence graphs."""
 
-from repro.analysis.depgraph import (
-    completion_depths,
-    dep_preds,
-    dependence_height,
-    path_dependence_height,
-)
+from repro.analysis.depgraph import dep_preds, dependence_height
 from repro.analysis.dominators import DominatorTree, reverse_postorder
 from repro.analysis.liveness import Liveness
 from repro.analysis.loops import Loop, LoopForest
@@ -15,9 +10,7 @@ __all__ = [
     "Liveness",
     "Loop",
     "LoopForest",
-    "completion_depths",
     "dep_preds",
     "dependence_height",
-    "path_dependence_height",
     "reverse_postorder",
 ]

@@ -1,8 +1,8 @@
 """Intra-block dataflow dependence graphs and dependence height.
 
-Used by the VLIW block-selection heuristic (static schedule height), by the
-structural constraint estimator, and by the timing simulator (dataflow issue
-within a hyperblock).
+Used by the VLIW block-selection heuristic (static path height, see
+:class:`repro.core.policies.VLIWPolicy`) and by the backend's list
+scheduler and assembler (dataflow edges within a hyperblock).
 
 Dependence rules:
 
@@ -43,40 +43,44 @@ def dep_preds(block: BasicBlock) -> list[tuple[int, ...]]:
     return result
 
 
-def completion_depths(block: BasicBlock) -> list[int]:
-    """Earliest completion cycle of each instruction, ignoring issue width.
-
-    Depth of an instruction = max over dependence predecessors of their
-    completion depth, plus its own latency.  Register inputs from outside
-    the block are assumed ready at cycle 0.
-    """
-    preds = dep_preds(block)
-    depths: list[int] = []
-    for i, instr in enumerate(block.instrs):
-        start = 0
-        for p in preds[i]:
-            if depths[p] > start:
-                start = depths[p]
-        depths.append(start + instr.latency)
-    return depths
-
-
 def dependence_height(block: BasicBlock) -> int:
     """Critical-path length through the block's dataflow graph, in cycles.
 
     This is the quantity the classical VLIW heuristic minimizes: on a
     statically scheduled machine the longest path bounds the block's
     schedule length even if that path is never taken at run time.
+
+    An instruction completes its latency after the last of its
+    :func:`dep_preds` predecessors completes; register inputs from outside
+    the block are ready at cycle 0.  The maximum over a union of writer
+    sets is the maximum of the per-register maxima, so one pass keeps, per
+    register, the latest completion among its active writers: an
+    unpredicated write replaces it, a predicated write can only raise it.
+    Stores chain through the last store's completion.
     """
-    depths = completion_depths(block)
-    return max(depths) if depths else 0
-
-
-def path_dependence_height(blocks: list[BasicBlock]) -> int:
-    """Dependence height of a path of blocks, chained sequentially.
-
-    An over-approximation (assumes no overlap between consecutive blocks),
-    which is what a VLIW path-priority computation wants: paths are compared
-    against each other with the same assumption.
-    """
-    return sum(dependence_height(b) for b in blocks)
+    ready: dict[int, int] = {}
+    store_done = 0
+    height = 0
+    for instr in block.instrs:
+        start = 0
+        for reg in instr.srcs:
+            t = ready.get(reg, 0)
+            if t > start:
+                start = t
+        pred = instr.pred
+        if pred is not None:
+            t = ready.get(pred.reg, 0)
+            if t > start:
+                start = t
+        is_store = instr.op is Opcode.STORE
+        if is_store and store_done > start:
+            start = store_done
+        done = start + instr.latency
+        if is_store:
+            store_done = done
+        dest = instr.dest
+        if dest is not None and (pred is None or done > ready.get(dest, 0)):
+            ready[dest] = done
+        if done > height:
+            height = done
+    return height

@@ -166,47 +166,66 @@ class VLIWPolicy(MergePolicy):
         self.max_path_blocks = max_path_blocks
         self._included: set[str] = set()
         self._rank: dict[str, float] = {}
+        # Dependence height per block version, for the policy's lifetime
+        # (one ``form_module`` call).  A mutated block carries a fresh
+        # version stamp, so a stale height is never read back.
+        self._heights: dict[tuple[str, int], int] = {}
 
     # -- prepass ------------------------------------------------------------
 
     def _enumerate_paths(self, ctx: "FormationContext", seed: str) -> list[_PathInfo]:
         func = ctx.func
+        blocks = func.blocks
         cfg = ctx.cfg
         loops = ctx.loops
         profile = ctx.profile
+        heights = self._heights
         paths: list[_PathInfo] = []
+        # Successors a path may continue into, before the per-path cycle
+        # test; the CFG does not change during the walk.
+        forward: dict[str, list[str]] = {}
 
-        def walk(name: str, acc: list[str], prob: float) -> None:
+        def walk(
+            name: str, acc: list[str], prob: float, height: int, ops: int
+        ) -> None:
             if len(paths) >= self.max_paths:
                 return
             acc.append(name)
-            succs = [
-                s
-                for s in cfg.succs.get(name, [])
-                if s not in acc
-                and not loops.is_back_edge(name, s)
-                and not loops.is_header(s)
-                and s != func.entry
-                and not func.blocks[s].has_call()
-            ]
+            block = blocks[name]
+            key = (name, block.version)
+            block_height = heights.get(key)
+            if block_height is None:
+                block_height = heights[key] = dependence_height(block)
+            height += block_height
+            ops += len(block)
+            succs = forward.get(name)
+            if succs is None:
+                succs = forward[name] = [
+                    s
+                    for s in cfg.succs.get(name, [])
+                    if not loops.is_back_edge(name, s)
+                    and not loops.is_header(s)
+                    and s != func.entry
+                    and not blocks[s].has_call()
+                ]
+            succs = [s for s in succs if s not in acc]
             if not succs or len(acc) >= self.max_path_blocks:
-                blocks = [func.blocks[b] for b in acc]
                 paths.append(
                     _PathInfo(
                         blocks=tuple(acc),
                         frequency=prob,
-                        height=max(1, sum(dependence_height(b) for b in blocks)),
-                        ops=max(1, sum(len(b) for b in blocks)),
+                        height=max(1, height),
+                        ops=max(1, ops),
                     )
                 )
             else:
                 for succ in succs:
                     p = profile.edge_probability(func.name, name, succ)
-                    walk(succ, acc, prob * max(p, 1e-3))
+                    walk(succ, acc, prob * max(p, 1e-3), height, ops)
             acc.pop()
 
         seed_count = max(1, profile.block_count(func.name, seed))
-        walk(seed, [], float(seed_count))
+        walk(seed, [], float(seed_count), 0, 0)
         return paths
 
     def begin_block(self, ctx, hb_name) -> None:

@@ -18,15 +18,26 @@ from repro.ir.opcodes import Opcode
 MEMORY_BASE = 1000
 MEMORY_SIZE = 16
 
+#: Mask applied to every product in a :func:`random_program`.  A loop that
+#: squares a loop-carried variable doubles the value's bit length on each
+#: iteration; the mask keeps every product below 2**16.
+PRODUCT_MASK = 0xFFFF
+
 
 class _Gen:
     """One random-program construction (single function)."""
 
-    def __init__(self, rng: random.Random, max_depth: int = 3, max_stmts: int
-= 5):
+    def __init__(
+        self,
+        rng: random.Random,
+        max_depth: int = 3,
+        max_stmts: int = 5,
+        mask_products: bool = False,
+    ):
         self.rng = rng
         self.max_depth = max_depth
         self.max_stmts = max_stmts
+        self.mask_products = mask_products
         self.fb = FunctionBuilder("main", nparams=2)
         self.vars: list[int] = []
         self._block_counter = 0
@@ -61,6 +72,8 @@ class _Gen:
         )
         a, b = self._rand_value(), self._rand_value()
         result = fb.op(op, a, b)
+        if op is Opcode.MUL and self.mask_products:
+            result = fb.op(Opcode.AND, result, fb.movi(PRODUCT_MASK))
         fb.mov_to(self._rand_var(), result)
 
     def _emit_store(self) -> None:
@@ -164,7 +177,7 @@ class _Gen:
 def random_program(seed: int, max_depth: int = 3, nvars: int = 4) -> Module:
     """A random, terminating, single-function program."""
     rng = random.Random(seed)
-    return _Gen(rng, max_depth=max_depth).build(nvars=nvars)
+    return _Gen(rng, max_depth=max_depth, mask_products=True).build(nvars=nvars)
 
 
 #: Mean function size (instructions) across the SPEC workload suite; the

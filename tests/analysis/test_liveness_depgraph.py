@@ -1,9 +1,13 @@
 """Tests for liveness analysis and intra-block dependence graphs."""
 
-from repro.analysis import Liveness, dep_preds, dependence_height, path_dependence_height
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import Liveness, dep_preds, dependence_height
 from repro.ir import BasicBlock, FunctionBuilder, Instruction, Opcode, Predicate
+from repro.ir.opcodes import OP_INFO
 from repro.ir.regmask import has
-from tests.conftest import make_counting_loop, make_diamond
+from tests.conftest import make_counting_loop, make_diamond, reference_dependence_height
 
 
 def test_loop_carried_registers_live_around_loop():
@@ -151,7 +155,41 @@ def test_independent_ops_do_not_add_height():
     assert dependence_height(blk) == 1
 
 
-def test_path_dependence_height_sums():
-    a = _block(Instruction(Opcode.MOVI, dest=1, imm=2), Instruction(Opcode.BR, target="b"))
-    b = _block(Instruction(Opcode.MUL, dest=2, srcs=(1, 1)), Instruction(Opcode.RET))
-    assert path_dependence_height([a, b]) == dependence_height(a) + dependence_height(b)
+#: Few registers, so writes to one register often overlap: predicated
+#: writers accumulate, unpredicated ones kill them, and test results feed
+#: predicates.  Latencies range from 1 (ALU) to 18 (DIV).
+_REGS = st.integers(min_value=0, max_value=4)
+_OPS = (
+    Opcode.ADD, Opcode.MUL, Opcode.DIV, Opcode.MOV, Opcode.MOVI,
+    Opcode.TLT, Opcode.LOAD, Opcode.STORE,
+)
+
+
+@st.composite
+def _instructions(draw):
+    op = draw(st.sampled_from(_OPS))
+    info = OP_INFO[op]
+    return Instruction(
+        op,
+        dest=draw(_REGS) if info.has_dest else None,
+        srcs=tuple(draw(_REGS) for _ in range(info.nsrcs)),
+        imm=0 if op is Opcode.MOVI else None,
+        pred=draw(st.none() | st.builds(Predicate, _REGS, st.booleans())),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_instructions(), max_size=24))
+def test_dependence_height_matches_dep_preds_reference(instrs):
+    blk = _block(*instrs)
+    assert dependence_height(blk) == reference_dependence_height(blk)
+
+
+def test_dependence_height_predicated_write_keeps_earlier_writer():
+    blk = _block(
+        Instruction(Opcode.DIV, dest=1, srcs=(0, 0)),  # done at 18
+        Instruction(Opcode.MOVI, dest=1, imm=5, pred=Predicate(2)),  # done at 1
+        Instruction(Opcode.ADD, dest=3, srcs=(1, 1)),
+    )
+    # The ADD may read the DIV's value, so it waits for it.
+    assert dependence_height(blk) == 18 + 1 == reference_dependence_height(blk)

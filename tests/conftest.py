@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
+from repro.analysis import dep_preds
+from repro.ir import BasicBlock, FunctionBuilder, Function, Module, Opcode, build_module
+
+
+def reference_dependence_height(block: BasicBlock) -> int:
+    """Longest completion time over the explicit ``dep_preds`` edges: each
+    instruction completes its latency after its deepest predecessor.  The
+    reference that ``dependence_height``'s one-pass version must match."""
+    preds = dep_preds(block)
+    depths: list[int] = []
+    for i, instr in enumerate(block.instrs):
+        start = max((depths[p] for p in preds[i]), default=0)
+        depths.append(start + instr.latency)
+    return max(depths, default=0)
 
 
 def make_counting_loop(bound: int = 10, name: str = "main") -> Function:

@@ -1,5 +1,7 @@
 """Tests for block-selection policies."""
 
+import pytest
+
 from repro.core.merge import FormationContext
 from repro.core.policies import (
     BreadthFirstPolicy,
@@ -8,9 +10,10 @@ from repro.core.policies import (
     VLIWPolicy,
     policy_by_name,
 )
-from repro.ir import FunctionBuilder
+from repro.ir import FunctionBuilder, Instruction, Opcode
 from repro.profiles import ProfileData, collect_profile
 from repro.ir import build_module
+from repro.workloads import MICROBENCH_ORDER
 from tests.conftest import make_diamond
 
 
@@ -202,3 +205,143 @@ def test_lookahead_named_in_factory():
     from repro.core.policies import LookaheadPolicy
 
     assert isinstance(policy_by_name("lookahead"), LookaheadPolicy)
+
+
+# -- VLIW path prepass: exactness and the per-version height memo -----------
+
+
+def _reference_paths(policy, ctx, seed):
+    """The path walk that scores each path from scratch at its leaf, with
+    heights taken over explicit ``dep_preds`` edges."""
+    from tests.conftest import reference_dependence_height
+
+    func, cfg, loops, profile = ctx.func, ctx.cfg, ctx.loops, ctx.profile
+    paths = []
+
+    def walk(name, acc, prob):
+        if len(paths) >= policy.max_paths:
+            return
+        acc.append(name)
+        succs = [
+            s
+            for s in cfg.succs.get(name, [])
+            if s not in acc
+            and not loops.is_back_edge(name, s)
+            and not loops.is_header(s)
+            and s != func.entry
+            and not func.blocks[s].has_call()
+        ]
+        if not succs or len(acc) >= policy.max_path_blocks:
+            blocks = [func.blocks[b] for b in acc]
+            paths.append((
+                tuple(acc),
+                prob,
+                max(1, sum(reference_dependence_height(b) for b in blocks)),
+                max(1, sum(len(b) for b in blocks)),
+            ))
+        else:
+            for succ in succs:
+                p = profile.edge_probability(func.name, name, succ)
+                walk(succ, acc, prob * max(p, 1e-3))
+        acc.pop()
+
+    walk(seed, [], float(max(1, profile.block_count(func.name, seed))))
+    return paths
+
+
+class _CheckedVLIWPolicy(VLIWPolicy):
+    """Compares every seed's paths with the reference walk before use.
+
+    Formation's fail-safe guard would contain an assertion raised here, so
+    seeds are counted and mismatches recorded for the test to check."""
+
+    seeds_checked = 0
+    mismatches: list = []
+
+    def begin_block(self, ctx, hb_name):
+        got = [
+            (p.blocks, p.frequency, p.height, p.ops)
+            for p in self._enumerate_paths(ctx, hb_name)
+        ]
+        if got != _reference_paths(self, ctx, hb_name):
+            _CheckedVLIWPolicy.mismatches.append((ctx.func.name, hb_name))
+        _CheckedVLIWPolicy.seeds_checked += 1
+        super().begin_block(ctx, hb_name)
+
+
+@pytest.mark.parametrize("name", MICROBENCH_ORDER)
+def test_vliw_paths_match_reference_walk(name, monkeypatch):
+    """Every hyperblock seed that Table 2's two VLIW columns form (after
+    the unroll prepass, under TRIPS constraints, sharing one profile as
+    the harness does) scores its paths exactly as the from-scratch walk
+    does, with heights memoized across the merges that came before."""
+    from repro.harness import experiment
+    from repro.workloads import MICROBENCHMARKS
+
+    workload = MICROBENCHMARKS[name]
+    base = workload.module()
+
+    def columns():
+        profile = collect_profile(
+            base.copy(),
+            args=workload.args,
+            preload={k: list(v) for k, v in workload.preload.items()},
+        )
+        return [
+            experiment.heuristic_config(column)(base.copy(), profile).mtup
+            for column in ("VLIW", "Convergent VLIW")
+        ]
+
+    expected = columns()
+    monkeypatch.setattr(experiment, "VLIWPolicy", _CheckedVLIWPolicy)
+    monkeypatch.setattr(_CheckedVLIWPolicy, "seeds_checked", 0)
+    monkeypatch.setattr(_CheckedVLIWPolicy, "mismatches", [])
+    assert columns() == expected
+    assert _CheckedVLIWPolicy.seeds_checked > 0
+    assert _CheckedVLIWPolicy.mismatches == []
+
+
+def test_vliw_rescores_a_mutated_block():
+    func = make_branchy_function()
+    ctx = FormationContext(func)
+    policy = VLIWPolicy()
+    before = {p.blocks: p.height for p in policy._enumerate_paths(ctx, "A")}
+    block = func.blocks["B"]
+    block.instrs.insert(0, Instruction(Opcode.DIV, dest=50, srcs=(0, 1)))
+    block.touch()
+    after = {p.blocks: p.height for p in policy._enumerate_paths(ctx, "A")}
+    assert after[("A", "B", "D")] == before[("A", "B", "D")] + 18 - 1
+    assert after[("A", "C", "D")] == before[("A", "C", "D")]
+
+
+def test_vliw_computes_each_block_version_height_once(monkeypatch):
+    """Within one policy, a block version's height is computed once, not
+    once per path through it."""
+    from collections import Counter
+
+    import repro.core.policies as policies
+    from repro.harness.tables import table2
+
+    calls = []
+    current = []
+    begin_block = VLIWPolicy.begin_block
+
+    def spy_begin_block(self, ctx, hb_name):
+        current[:] = [self]
+        return begin_block(self, ctx, hb_name)
+
+    def spy_height(block):
+        calls.append((current[0], block.name, block.version))
+        return real_height(block)
+
+    real_height = policies.dependence_height
+    monkeypatch.setattr(VLIWPolicy, "begin_block", spy_begin_block)
+    monkeypatch.setattr(policies, "dependence_height", spy_height)
+    table2(["sieve", "parser_1"])
+
+    per_policy = Counter((id(p), name, version) for p, name, version in calls)
+    assert calls, "the VLIW prepass never scored a block"
+    # Two workloads, two VLIW columns each: four policies, one per
+    # form_module call.
+    assert len({id(p) for p, _, _ in calls}) == 4
+    assert max(per_policy.values()) == 1

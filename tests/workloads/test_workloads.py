@@ -135,3 +135,40 @@ def test_random_program_determinism():
     b = random_program(1234)
     args = random_inputs(1234)
     assert run_module(a, args=args)[0] == run_module(b, args=args)[0]
+
+
+#: sha256 over the printed IR of the 80 programs of the ``synth`` benchmark
+#: workload: program ``i`` is ``scaled_program(44 + 396 * i // 79, i)``.
+#: The workload's timings are only comparable across commits while these
+#: programs stay byte-identical.
+SYNTH_PROGRAMS_SHA256 = (
+    "c8db0122978db2a48ca27fbd9418963b7c5109b387246437e3f2c384d3490989"
+)
+
+
+def test_scaled_programs_are_pinned():
+    import hashlib
+
+    from repro.ir.printer import format_module
+    from repro.workloads.generators import scaled_program
+
+    digest = hashlib.sha256()
+    for index in range(80):
+        size = 44 + (440 - 44) * index // 79
+        digest.update(format_module(scaled_program(size, index)).encode())
+    assert digest.hexdigest() == SYNTH_PROGRAMS_SHA256
+
+
+def test_random_program_arithmetic_stays_bounded():
+    """Seed 4845 squares a loop-carried variable inside nested loops; with
+    unbounded products its values doubled in size every iteration and the
+    run exhausted memory long before any block budget stopped it."""
+    import time
+
+    from repro.workloads import random_inputs, random_program
+
+    start = time.process_time()
+    result, stats, _ = run_module(random_program(4845), args=random_inputs(4845))
+    assert time.process_time() - start < 1.0
+    assert stats.blocks_executed > 0
+    assert abs(result) < 2 ** 64
