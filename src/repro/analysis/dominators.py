@@ -125,23 +125,104 @@ class DominatorTree:
 
     def dominates(self, a: str, b: str) -> bool:
         """True if block ``a`` dominates block ``b`` (reflexively)."""
+        index = self._index
+        ia = index.get(a)
+        ib = index.get(b)
+        if ia is None or ib is None:
+            # Unreachable blocks dominate only themselves, exactly as
+            # the idom chain walk answers.
+            return a == b
         facts = self._facts
         if facts is not None:
-            index = self._index
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None or ib is None:
-                # Unreachable blocks dominate only themselves, exactly as
-                # the idom chain walk answers.
-                return a == b
             tin = facts.tin
             return tin[ia] <= tin[ib] <= facts.tout[ia]
-        node: Optional[str] = b
-        while node is not None:
-            if node == a:
-                return True
-            node = self.idom.get(node)
-        return False
+        # Every idom is numbered below its child, so the walk up from
+        # ``b`` can stop as soon as it passes ``a``'s number.
+        idom = self.idom
+        while ib > ia:
+            b = idom[b]
+            ib = index[b]
+        return b == a
+
+    # -- incremental update -------------------------------------------------
+    #
+    # Both updates keep the dict form (``idom``/``children``) and the
+    # numbering ``_intersect`` and ``dominates`` rely on: every idom is
+    # numbered below its child.  ``rpo`` stays sorted by that number, so
+    # after an update it is such a numbering, not necessarily the current
+    # reverse postorder.  A tree on the interval-facts path is first
+    # brought into dict form (the intervals cannot be patched).
+
+    def _to_dicts(self) -> None:
+        if self._facts is not None:
+            for view in ("rpo", "_index", "idom", "children"):
+                getattr(self, view)  # materialize the cached views
+            self._facts = None
+
+    def tail_duplicated(self, hb: str, s: str, cfg: CFG) -> bool:
+        """Account for ``hb``'s edge to ``s``, a block that heads no loop,
+        being replaced by edges to every successor of ``s``; ``cfg``
+        already shows the new edges.
+
+        As ``s`` heads no loop the old edge was a forward edge, and every
+        block ``s`` dominated stays reachable from ``hb`` through the new
+        edges without passing ``s``.  So ``s`` becomes a leaf: its
+        children move to its old idom, its own idom becomes the nearest
+        common ancestor of its remaining reachable predecessors, and no
+        other block's dominators change.  Returns ``False``, with the tree
+        untouched, when ``hb`` or ``s`` was unreachable or ``s`` no longer
+        is reachable; the caller must rebuild then.
+        """
+        index = self._index
+        if s not in index or hb not in index:
+            return False
+        preds = [pred for pred in cfg.preds.get(s, ()) if pred in index]
+        if not preds:
+            return False
+        new_idom = preds[0]
+        for pred in preds[1:]:
+            new_idom = self._intersect(pred, new_idom)
+        self._to_dicts()
+        if index[new_idom] > index[s]:
+            # ``s`` is a leaf now, so numbering it after every other block
+            # keeps each idom below its child.
+            rpo = self.rpo
+            rpo.remove(s)
+            index[s] = index[rpo[-1]] + 1
+            rpo.append(s)
+        idom = self.idom
+        children = self.children
+        old_idom = idom[s]
+        moved = children[s]
+        if moved:
+            for child in moved:
+                idom[child] = old_idom
+            children[old_idom].extend(moved)
+            children[s] = []
+        if new_idom != old_idom:
+            children[old_idom].remove(s)
+            children[new_idom].append(s)
+            idom[s] = new_idom
+        return True
+
+    def contract(self, old: str, new: str) -> None:
+        """Account for ``old`` being absorbed into ``new``, its unique
+        predecessor (a SIMPLE merge): ``old``'s children move to ``new``
+        and no other block's dominators change."""
+        if old not in self._index:
+            return
+        self._to_dicts()
+        idom = self.idom
+        children = self.children
+        del idom[old]
+        moved = children.pop(old)
+        for child in moved:
+            idom[child] = new
+        siblings = children[new]
+        siblings.remove(old)
+        siblings.extend(moved)
+        del self._index[old]
+        self.rpo.remove(old)
 
     def strictly_dominates(self, a: str, b: str) -> bool:
         return a != b and self.dominates(a, b)

@@ -161,6 +161,7 @@ class LoopForest:
             loop = self.loops.pop(old)
             loop.header = new
             self.loops[new] = loop
+        self.domtree.contract(old, new)
         if not self._bodies_done:
             return
         old_loops = self._block_loops.pop(old, None)
@@ -170,6 +171,55 @@ class LoopForest:
                 if loop not in mine:
                     mine.append(loop)
             mine.sort(key=lambda l: -l.depth)
+
+    def tail_duplicated(self, hb: str, old_succs: list[str]) -> bool:
+        """Account for a tail duplication into ``hb``, whose successor list
+        was ``old_succs``; ``self.cfg`` already holds the new one.
+
+        Applies when the commit dropped exactly one successor ``s``, which
+        heads no loop, and gave ``hb`` every successor of ``s`` in its
+        place.  The dominator tree is updated in place (see
+        :meth:`DominatorTree.tail_duplicated`); since only ``s`` and the
+        blocks it dominated change dominators, and ``s`` now dominates
+        nothing but itself, an edge can start or stop being a back edge
+        only if it leaves ``hb`` or ``s``, so just those are re-scanned
+        (the back edges they had stay back edges, so no loop is lost).
+        Bodies and nesting are dropped for lazy re-collection.  Returns
+        ``False``, with the forest untouched, when the update does not
+        apply; the caller must rebuild then.
+        """
+        succs = self.cfg.succs
+        new_succs = succs.get(hb, ())
+        dropped = [name for name in old_succs if name not in new_succs]
+        if len(dropped) != 1:
+            return False
+        s = dropped[0]
+        if s in self.loops or set(new_succs) != (
+            set(old_succs) - {s} | set(succs.get(s, ()))
+        ):
+            return False
+        if not self.domtree.tail_duplicated(hb, s, self.cfg):
+            return False
+        loops = self.loops
+        for loop in loops.values():
+            loop.back_edges = [
+                edge for edge in loop.back_edges if edge[0] not in (hb, s)
+            ]
+        dom = self.domtree
+        for src in (hb, s):
+            for dst in succs.get(src, ()):
+                if dom.dominates(dst, src):
+                    loops.setdefault(dst, Loop(dst)).back_edges.append(
+                        (src, dst)
+                    )
+        if self._bodies_done:
+            self._bodies_done = False
+            self._block_loops = {}
+            for loop in loops.values():
+                loop.blocks = {loop.header}
+                loop.parent = None
+                loop.children = []
+        return True
 
     # -- queries ------------------------------------------------------------
 

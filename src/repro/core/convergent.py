@@ -309,7 +309,7 @@ def _next_seed(ctx: FormationContext, processed: set[str]) -> Optional[str]:
     contains it to absorb later.
     """
     func = ctx.func
-    order = reverse_postorder(func)
+    order = reverse_postorder(func, ctx.cfg)
     best: Optional[str] = None
     best_key = None
     for index, name in enumerate(order):

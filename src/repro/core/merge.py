@@ -69,6 +69,7 @@ class FormationCacheStats:
     use_kill_misses: int = 0
     cfg_patches: int = 0  # commits that patched the CFG in place
     loop_renames: int = 0  # loop forests updated by rename (SIMPLE merges)
+    loop_updates: int = 0  # loop forests updated in place (tail duplication)
     loop_rebuilds: int = 0  # loop forests dropped for lazy rebuild
     liveness_sccs_solved: int = 0  # SCCs re-solved by incremental refresh
     liveness_sccs_skipped: int = 0  # SCCs whose solution survived a commit
@@ -284,13 +285,18 @@ class FormationContext:
         - the loop forest survives a SIMPLE merge by renaming the absorbed
           block to the hyperblock (contracting a single-predecessor edge
           maps membership, latches and headers one-for-one and cannot
-          change nesting); any other kind drops it for lazy rebuild;
+          change nesting), and a tail duplication of a block that heads
+          no loop by an exact in-place update of its dominator tree and
+          back edges (``LoopForest.tail_duplicated``); anything else
+          drops it for lazy rebuild;
         - liveness re-solves only the SCCs the change propagates into.
         """
         if not self.fast_path:
             self.invalidate()
             return
+        old_succs = None
         if self._cfg is not None:
+            old_succs = self._cfg.succs.get(hb_name)
             self._cfg.update_block(hb_name, _arena.successors_of(preview))
             if removed is not None:
                 self._cfg.remove_node(removed)
@@ -299,6 +305,12 @@ class FormationContext:
             if kind is MergeKind.SIMPLE and removed is not None:
                 self._loops.rename_block(removed, hb_name)
                 self.cache_stats.loop_renames += 1
+            elif (
+                kind is MergeKind.TAIL_DUP
+                and old_succs is not None
+                and self._loops.tail_duplicated(hb_name, old_succs)
+            ):
+                self.cache_stats.loop_updates += 1
             else:
                 self._loops = None
                 self.cache_stats.loop_rebuilds += 1

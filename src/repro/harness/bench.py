@@ -739,6 +739,7 @@ def format_report(result: dict) -> str:
         f"  liveness SCCs: {cache['liveness_sccs_solved']} re-solved, "
         f"{cache['liveness_sccs_skipped']} skipped; "
         f"loop forests: {cache['loop_renames']} renamed, "
+        f"{cache['loop_updates']} updated in place, "
         f"{cache['loop_rebuilds']} rebuilt"
     )
     for row in result.get("scaling", ()):

@@ -24,6 +24,7 @@ import os
 from typing import Optional
 
 from repro.core.convergent import form_module
+from repro.core.merge import FormationCacheStats
 from repro.ir import arena as _arena
 from repro.obs.ledger import (
     RECORD_SCHEMA_VERSION,
@@ -106,6 +107,7 @@ def build_suite_record(
     merges = 0
     attempts = 0
     mtup = [0, 0, 0, 0]
+    cache = FormationCacheStats()
     for name, workload, profile in prepared:
         module = workload.module()
         registry = MetricsRegistry()
@@ -145,6 +147,8 @@ def build_suite_record(
         merges += report.stats.merges
         attempts += report.stats.attempts
         mtup = [a + b for a, b in zip(mtup, report.stats.mtup)]
+        if report.stats.cache is not None:
+            cache.add(report.stats.cache)
         for row in phase_table(trace).values():
             for phase, dur in row.items():
                 phase_totals[phase] = phase_totals.get(phase, 0.0) + dur
@@ -194,6 +198,7 @@ def build_suite_record(
             "event_counts": event_counts,
             "rejections": rejections,
             "driver_counters": driver_counters,
+            "cache": cache.as_dict(),
         },
         "arena": {"backend": _arena.backend(), **_arena.STORE.counters()},
     }

@@ -360,7 +360,14 @@ def stats_data(workload: str, top: int = 10) -> dict:
             name: {"status": str(status), "mtup": list(mtup)}
             for name, (status, mtup) in report.summary().items()
         },
+        "cache": _cache_counters(report),
     }
+
+
+def _cache_counters(report) -> dict[str, int]:
+    """The run's fast-path counters (``FormationCacheStats``), or ``{}``."""
+    cache = report.stats.cache
+    return cache.as_dict() if cache is not None else {}
 
 
 def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
@@ -416,6 +423,14 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
                 f"    {phase:<12} n={entry['count']:<6} "
                 f"sum={entry['sum'] * 1e3:.2f}ms"
             )
+
+    cache = _cache_counters(report)
+    if cache:
+        lines.append(
+            f"  loop forests: {cache['loop_renames']} renamed, "
+            f"{cache['loop_updates']} updated in place, "
+            f"{cache['loop_rebuilds']} rebuilt"
+        )
 
     # Driver recovery counters (retries/timeouts/serial fallbacks, fleet
     # respawns/requeues/...) — zero on a clean serial run, so the section

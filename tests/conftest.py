@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis import dep_preds
 from repro.ir import BasicBlock, FunctionBuilder, Function, Module, Opcode, build_module
+
+
+#: The CI ``fuzz`` job's profile (``--hypothesis-profile=cfg-fuzz``): ten
+#: times hypothesis' default budget of 100 examples per property.
+settings.register_profile("cfg-fuzz", max_examples=1000)
 
 
 def reference_dependence_height(block: BasicBlock) -> int:

@@ -52,6 +52,38 @@ def test_next_seed_prefers_hot_blocks():
     assert _next_seed(ctx, set(func.blocks)) is None
 
 
+def test_next_seed_order_matches_a_fresh_cfg(monkeypatch):
+    """Seeds come from the context's patched CFG; a fresh CFG per seed
+    must pick the same block every time."""
+    from repro.analysis.dominators import reverse_postorder
+    from repro.core import convergent
+    from repro.workloads import SPEC_BENCHMARKS, SPEC_ORDER
+
+    chosen = []
+
+    def checked(ctx, processed):
+        seed = _next_seed(ctx, processed)
+        func = ctx.func
+        fresh = [
+            (-ctx.profile.block_count(func.name, name), index, name)
+            for index, name in enumerate(reverse_postorder(func))
+            if name not in processed
+        ]
+        assert seed == (min(fresh)[2] if fresh else None)
+        chosen.append(seed)
+        return seed
+
+    monkeypatch.setattr(convergent, "_next_seed", checked)
+    for name in SPEC_ORDER:
+        workload = SPEC_BENCHMARKS[name]
+        module = workload.module()
+        profile = collect_profile(
+            module, args=workload.args, preload=workload.preload
+        )
+        form_module(module, profile=profile)
+    assert len(chosen) > 90
+
+
 def test_next_seed_without_profile_uses_rpo():
     func = make_counting_loop()
     ctx = FormationContext(func, profile=ProfileData())
