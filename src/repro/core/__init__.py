@@ -26,6 +26,7 @@ from repro.core.merge import (
 from repro.core.phases import (
     ORDERINGS,
     FactorPolicy,
+    FormationConfig,
     LoopFactors,
     choose_factors,
     compile_with_ordering,
@@ -52,6 +53,7 @@ __all__ = [
     "Candidate",
     "DepthFirstPolicy",
     "FactorPolicy",
+    "FormationConfig",
     "FormationContext",
     "FormationReport",
     "FunctionReport",

@@ -14,6 +14,10 @@ Each driver compiles a module with one ordering of **U**\\ nrolling,
   (per-iteration legality decisions) but optimization only at the end.
 - ``(IUPO)`` — the full convergent algorithm: optimization inside every
   trial merge.
+
+Each ordering, and each Table 2 column, is a :class:`FormationConfig`
+value, which :func:`compile_with_ordering` applies.  Equal values are one
+pipeline: Table 1's (IUPO) is Table 2's BF.
 """
 
 from __future__ import annotations
@@ -35,9 +39,6 @@ from repro.ir.function import Function, Module
 from repro.opt.pipeline import optimize_module
 from repro.profiles.data import ProfileData
 from repro.transform.loop_transforms import peel_loop, unroll_loop
-
-ORDERINGS = ("BB", "UPIO", "IUPO", "(IUP)O", "(IUPO)")
-
 
 @dataclass
 class LoopFactors:
@@ -207,94 +208,101 @@ def phase_unroll_peel_hyper(
                     break
                 if merge_blocks(ctx, header, header) is None:
                     break
-        for func_stats in (ctx.stats,):
-            stats.add(func_stats)
+        stats.add(ctx.stats)
         func.remove_unreachable_blocks()
     return stats
 
 
 # ---------------------------------------------------------------------------
-# Orderings
+# Configurations
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FormationConfig:
+    """One column of Tables 1-3 as a value: what the columns vary.
+
+    ``policy`` is the :class:`MergePolicy` class, or ``None`` for the BB
+    baseline, which forms nothing.  ``prepass`` runs
+    :func:`phase_unroll_peel_bb` before formation: ``"counted"`` adds its
+    unrolls and peels to m/t/u/p (UPIO), ``"uncounted"`` does not (Table
+    2's VLIW columns show ``u = 0``).  ``postpass`` runs
+    :func:`phase_unroll_peel_hyper` after formation.  Every column forms
+    under ``TripsConstraints()`` and ends with ``optimize_module``.
+    """
+
+    policy: Optional[type] = None
+    prepass: Optional[str] = None
+    optimize_during: bool = False
+    allow_head_dup: bool = False
+    postpass: bool = False
+
+    def __call__(self, module: Module, profile: ProfileData) -> MergeStats:
+        return compile_with_ordering(module, self, profile)
+
+
+#: Table 1/3's orderings as :class:`FormationConfig` fields.
+_ORDERINGS = {
+    "BB": dict(policy=None),
+    "UPIO": dict(prepass="counted"),
+    "IUPO": dict(postpass=True),
+    "(IUP)O": dict(allow_head_dup=True),
+    "(IUPO)": dict(optimize_during=True, allow_head_dup=True),
+}
+ORDERINGS = tuple(_ORDERINGS)
+
+
+def ordering_formation(
+    ordering: str, policy: type = BreadthFirstPolicy
+) -> FormationConfig:
+    """The :class:`FormationConfig` of one of :data:`ORDERINGS`."""
+    if ordering not in _ORDERINGS:
+        raise ValueError(
+            f"unknown ordering {ordering!r}; expected one of {ORDERINGS}"
+        )
+    return FormationConfig(**{"policy": policy, **_ORDERINGS[ordering]})
 
 
 def compile_with_ordering(
     module: Module,
-    ordering: str,
+    ordering: str | FormationConfig,
     profile: ProfileData,
     constraints: Optional[TripsConstraints] = None,
     policy: Optional[MergePolicy] = None,
     factor_policy: Optional[FactorPolicy] = None,
 ) -> MergeStats:
-    """Compile ``module`` in place under one of :data:`ORDERINGS`."""
-    constraints = constraints or TripsConstraints()
-    policy = policy or BreadthFirstPolicy()
+    """Compile ``module`` in place under ``ordering``: a
+    :class:`FormationConfig` or a name from :data:`ORDERINGS`.  ``policy``
+    replaces a fresh instance of the configuration's policy class."""
+    config = (
+        ordering if isinstance(ordering, FormationConfig)
+        else ordering_formation(ordering)
+    )
     stats = MergeStats()
-
-    if ordering == "BB":
+    if config.policy is None:
         return stats
-
-    if ordering == "UPIO":
-        phase_unroll_peel_bb(module, profile, constraints, factor_policy, stats)
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=False,
-                allow_head_dup=False,
-            )
+    constraints = constraints or TripsConstraints()
+    if config.prepass is not None:
+        phase_unroll_peel_bb(
+            module, profile, constraints, factor_policy,
+            stats if config.prepass == "counted" else None,
         )
-        optimize_module(module)
-        return stats
-
-    if ordering == "IUPO":
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=False,
-                allow_head_dup=False,
-            )
+    stats.add(
+        form_module(
+            module,
+            profile=profile,
+            policy=policy or config.policy(),
+            constraints=constraints,
+            optimize_during=config.optimize_during,
+            allow_head_dup=config.allow_head_dup,
         )
+    )
+    if config.postpass:
         stats.add(
             phase_unroll_peel_hyper(
-                module, profile, constraints, optimize_during=False,
+                module, profile, constraints,
+                optimize_during=config.optimize_during,
                 factor_policy=factor_policy,
             )
         )
-        optimize_module(module)
-        return stats
-
-    if ordering == "(IUP)O":
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=False,
-                allow_head_dup=True,
-            )
-        )
-        optimize_module(module)
-        return stats
-
-    if ordering == "(IUPO)":
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=True,
-                allow_head_dup=True,
-            )
-        )
-        optimize_module(module)
-        return stats
-
-    raise ValueError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
+    optimize_module(module)
+    return stats

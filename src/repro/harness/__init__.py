@@ -1,5 +1,6 @@
 """Experiment harness regenerating the paper's tables and figures."""
 
+from repro.core.phases import FormationConfig
 from repro.harness.experiment import (
     ExperimentError,
     RunResult,
@@ -29,6 +30,7 @@ from repro.harness.tables import (
 
 __all__ = [
     "ExperimentError",
+    "FormationConfig",
     "OccupancyReport",
     "occupancy_report",
     "RegressionResult",

@@ -73,7 +73,14 @@ import sys
 import time
 from typing import Optional
 
-from repro.harness.tables import figure7, table1, table2, table3
+from repro.harness.tables import (
+    figure7,
+    table1,
+    table2,
+    table3,
+    tables_1_and_2,
+)
+from repro.workloads import SPEC_BENCHMARKS
 
 
 def _parse_subset(text: Optional[str]) -> Optional[list[str]]:
@@ -669,16 +676,27 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
     sections: list[str] = []
     started = time.time()
 
-    if args.target in ("table1", "figure7", "all"):
+    micro = spec = subset
+    if args.target == "all" and subset is not None:
+        # ``all`` spans both suites: each table takes its own names and is
+        # left out when it has none.  Tables 1-2 reject any other name.
+        spec = [name for name in subset if name in SPEC_BENCHMARKS]
+        micro = [name for name in subset if name not in spec]
+    t1 = t2 = None
+    if args.target == "all" and micro != []:
+        t1, t2 = tables_1_and_2(subset=micro)
+    elif args.target in ("table1", "figure7"):
         t1 = table1(subset=subset)
-        if args.target != "figure7":
-            sections.append(t1.format())
-        if args.target in ("figure7", "all"):
-            sections.append(figure7(t1).format())
-    if args.target in ("table2", "all"):
-        sections.append(table2(subset=subset).format())
-    if args.target in ("table3", "all"):
-        sections.append(table3(subset=subset).format())
+    elif args.target == "table2":
+        t2 = table2(subset=subset)
+    if t1 is not None and args.target != "figure7":
+        sections.append(t1.format())
+    if t1 is not None and args.target in ("figure7", "all"):
+        sections.append(figure7(t1).format())
+    if t2 is not None:
+        sections.append(t2.format())
+    if args.target in ("table3", "all") and spec != []:
+        sections.append(table3(subset=spec).format())
 
     report = ("\n\n" + "=" * 72 + "\n\n").join(sections)
     report += f"\n\n(generated in {time.time() - started:.1f}s)\n"

@@ -1,10 +1,19 @@
 """Experiment runner: compiles and simulates workloads under the paper's
 configurations, checking semantic equivalence of every compiled variant.
 
-Each (program, configuration) cell interprets its program once.  That one
-run checks the output against the BB cell's, counts dynamic blocks and,
-with ``timing``, drives the cycle model; the BB cell's run also collects
-the profile that the formed configurations are built from.
+A configuration is a :class:`FormationConfig` value (any callable
+``config(module, profile) -> MergeStats`` also works).  Each (program,
+configuration) cell interprets its program once.  That one run checks
+the output against the BB cell's, counts dynamic blocks and, with
+``timing``, drives the cycle model; the BB cell's run also collects the
+profile that the formed configurations are built from.
+
+Each distinct cell is computed once.  Cells are stored under (workload,
+configuration, timing, resolved machine), and a column whose cell is
+stored returns its :class:`RunResult` under the column's own name,
+without forming or interpreting anything.  An experiment keeps its own
+store unless given one; the table drivers share one per workload across
+Tables 1 and 2, so Table 2's BB and BF reuse Table 1's BB and (IUPO).
 
 This is the machinery behind Tables 1-3 and Figure 7; the table-specific
 drivers live in :mod:`repro.harness.tables`.
@@ -12,23 +21,18 @@ drivers live in :mod:`repro.harness.tables`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
-from repro.core.constraints import TripsConstraints
-from repro.core.convergent import form_module
-from repro.core.merge import MergeStats
-from repro.core.phases import compile_with_ordering, phase_unroll_peel_bb
+from repro.core.phases import FormationConfig, ordering_formation
 from repro.core.policies import (
-    BreadthFirstPolicy,
-    DepthFirstPolicy,
-    VLIWPolicy,
+    BreadthFirstPolicy, DepthFirstPolicy, VLIWPolicy
 )
 from repro.ir.function import Module
 from repro.ir.verify import verify_module
-from repro.opt.pipeline import optimize_module
 from repro.profiles.collect import ProfileCollector
 from repro.profiles.data import ProfileData
+from repro.sim import timing as timing_model
 from repro.sim.functional import run_module
 from repro.sim.machine import MachineConfig
 from repro.sim.timing import simulate_cycles
@@ -67,75 +71,40 @@ class RunResult:
         )
 
 
-#: A configuration: name plus a transform applied to (module, profile).
-Configurator = Callable[[Module, ProfileData], MergeStats]
+#: The BB column: basic blocks as TRIPS blocks, nothing formed.
+BASELINE = FormationConfig()
 
 
-def ordering_config(ordering: str, policy_factory=None) -> Configurator:
-    def apply(module: Module, profile: ProfileData) -> MergeStats:
-        policy = policy_factory() if policy_factory else None
-        return compile_with_ordering(module, ordering, profile, policy=policy)
-
-    return apply
+def ordering_config(ordering: str, policy_factory=None) -> FormationConfig:
+    """Table 1/3 column ``ordering`` under ``policy_factory`` (default BF)."""
+    return ordering_formation(ordering, policy_factory or BreadthFirstPolicy)
 
 
-def heuristic_config(name: str) -> Configurator:
-    """Table 2 configurations."""
-
-    def vliw_discrete(module: Module, profile: ProfileData) -> MergeStats:
-        constraints = TripsConstraints()
-        phase_unroll_peel_bb(module, profile, constraints)
-        stats = form_module(
-            module,
-            profile=profile,
-            policy=VLIWPolicy(),
-            constraints=constraints,
-            optimize_during=False,
-            allow_head_dup=False,
-        )
-        optimize_module(module)
-        return stats
-
-    def vliw_convergent(module: Module, profile: ProfileData) -> MergeStats:
-        # The same block-selection heuristic and unroll prepass as the
-        # discrete VLIW column, but with iterative optimization inside the
-        # merge loop — isolating the paper's "with iterative optimization"
-        # comparison (Table 2, columns 3 vs 4).
-        constraints = TripsConstraints()
-        phase_unroll_peel_bb(module, profile, constraints)
-        stats = form_module(
-            module,
-            profile=profile,
-            policy=VLIWPolicy(),
-            constraints=constraints,
-            optimize_during=True,
-            allow_head_dup=False,
-        )
-        optimize_module(module)
-        return stats
-
-    def convergent(policy_factory) -> Configurator:
-        def apply(module: Module, profile: ProfileData) -> MergeStats:
-            stats = form_module(
-                module,
-                profile=profile,
-                policy=policy_factory(),
-                constraints=TripsConstraints(),
-                optimize_during=True,
-                allow_head_dup=True,
-            )
-            optimize_module(module)
-            return stats
-
-        return apply
-
+def heuristic_config(name: str) -> FormationConfig:
+    """Table 2 column ``name``.  Convergent VLIW is VLIW plus iterative
+    optimization inside the merge loop (the paper's columns 3 vs 4); BF is
+    Table 1's (IUPO)."""
     table = {
-        "VLIW": vliw_discrete,
-        "Convergent VLIW": vliw_convergent,
-        "DF": convergent(DepthFirstPolicy),
-        "BF": convergent(BreadthFirstPolicy),
+        "VLIW": FormationConfig(VLIWPolicy, prepass="uncounted"),
+        "Convergent VLIW": FormationConfig(
+            VLIWPolicy, prepass="uncounted", optimize_during=True
+        ),
+        "DF": ordering_formation("(IUPO)", DepthFirstPolicy),
+        "BF": ordering_formation("(IUPO)", BreadthFirstPolicy),
     }
     return table[name]
+
+
+@dataclass
+class _WorkloadCells:
+    """One workload's cells under one timing mode and machine: the
+    unformed module every cell copies, the BB run's profile and output
+    (result, memory), and configuration -> (module as run, RunResult)."""
+
+    base: Module
+    profile: Optional[ProfileData] = None
+    reference: object = None
+    measured: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -147,15 +116,25 @@ class WorkloadExperiment:
     timing: bool = True  # False = functional block counts only (Table 3)
     max_blocks: int = 5_000_000
     results: dict[str, RunResult] = field(default_factory=dict)
-    _reference: object = None
-    _profile: Optional[ProfileData] = None
+    #: stored cells, shareable between experiments (see the module doc)
+    cells: dict = field(default_factory=dict)
+    _workload_cells: Optional[_WorkloadCells] = None
+    _config: object = None
 
     def _measure(self, module: Module, config_name: str, mtup) -> RunResult:
-        """Run ``module`` once: check its output against the first cell's,
+        """Run ``module`` once: check its output against the BB cell's,
         count its blocks and, with ``timing``, its cycles.  The BB cell's
-        run also collects the profile the other configurations form with."""
+        run also collects the profile the other configurations form with.
+        A stored cell is returned under ``config_name`` without a run."""
         wl = self.workload
-        collector = ProfileCollector(module) if config_name == "BB" else None
+        cells = self._workload_cells
+        stored = cells.measured.get(self._config)
+        if stored is not None:
+            run = replace(stored[1], config=config_name)
+            self.results[config_name] = run
+            return run
+        baseline = self._config == BASELINE
+        collector = ProfileCollector(module) if baseline else None
         run_args = dict(
             args=wl.args,
             preload={k: list(v) for k, v in wl.preload.items()},
@@ -169,14 +148,13 @@ class WorkloadExperiment:
         else:
             result, fstats, memory = run_module(module, **run_args)
             cycles = mispredictions = 0
-        if collector is not None:
-            self._profile = collector.profile
-        if self._reference is None:
-            self._reference = (result, memory)
-        elif (result, memory) != self._reference:
+        if baseline:
+            cells.profile = collector.profile
+            cells.reference = (result, memory)
+        elif (result, memory) != cells.reference:
             raise ExperimentError(
                 f"{wl.name}/{config_name}: compiled program output differs "
-                f"({result!r} != {self._reference[0]!r})"
+                f"({result!r} != {cells.reference[0]!r})"
             )
         run = RunResult(
             workload=wl.name,
@@ -187,16 +165,27 @@ class WorkloadExperiment:
             static_blocks=sum(len(f.blocks) for f in module),
             mtup=mtup,
         )
+        cells.measured[self._config] = (module, run)
         self.results[config_name] = run
         return run
 
-    def run(self, configs: dict[str, Configurator]) -> dict[str, RunResult]:
-        base = self.workload.module()
-        self._measure(base.copy(), "BB", (0, 0, 0, 0))
-        profile, self._profile = self._profile, None
-        for name, configure in configs.items():
-            module = base.copy()
-            stats = configure(module, profile)
-            verify_module(module)
-            self._measure(module, name, stats.mtup)
+    def run(self, configs: dict[str, FormationConfig]) -> dict[str, RunResult]:
+        machine = self.machine or timing_model.TRIPS_MACHINE
+        key = (self.workload.name, self.timing, machine, self.max_blocks)
+        cells = self.cells.get(key)
+        if cells is None:
+            cells = self.cells[key] = _WorkloadCells(self.workload.module())
+        self._workload_cells = cells
+        for name, config in {"BB": BASELINE, **configs}.items():
+            self._config = config
+            stored = cells.measured.get(config)
+            if stored is not None:
+                module, mtup = stored[0], stored[1].mtup
+            elif config == BASELINE:
+                module, mtup = cells.base.copy(), (0, 0, 0, 0)
+            else:
+                module = cells.base.copy()
+                mtup = config(module, cells.profile).mtup
+                verify_module(module)
+            self._measure(module, name, mtup)
         return self.results

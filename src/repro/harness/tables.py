@@ -2,6 +2,7 @@
 
 - :func:`table1` — cycle improvement of phase orderings (microbenchmarks)
 - :func:`table2` — VLIW/DF/BF heuristics (microbenchmarks)
+- :func:`tables_1_and_2` — both, sharing their equal cells
 - :func:`table3` — block-count improvement on the SPEC surrogates
 - :func:`figure7` — cycle-count vs block-count reduction regression
 """
@@ -16,7 +17,6 @@ try:  # optional extra (`pip install .[fast]`); figure7 has a pure fit
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     np = None
 
-from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import (
     RunResult,
     WorkloadExperiment,
@@ -88,75 +88,75 @@ class TableResult:
         return "\n".join(lines)
 
 
-def _run_table(
-    title: str,
-    workloads,
-    configs,
-    config_factory,
-    timing: bool,
-    metric: str,
-    subset: Optional[list[str]] = None,
-) -> TableResult:
-    table = TableResult(title=title, configs=tuple(configs), metric=metric)
-    names = subset if subset is not None else list(workloads)
-    if isinstance(workloads, dict):
-        unknown = [name for name in names if name not in workloads]
-        if unknown:
-            raise SystemExit(
-                f"unknown workload(s): {', '.join(unknown)}; "
-                f"available: {', '.join(workloads)}"
-            )
-    for name in names:
-        experiment = WorkloadExperiment(
-            workload=workloads[name] if isinstance(workloads, dict) else name,
-            timing=timing,
+def _run_tables(workloads: dict, tables: list, subset: list[str]) -> list:
+    """Fill ``tables``, ``(TableResult, configs)`` pairs, one workload at a
+    time.  The tables share each workload's cells, so a column equal to an
+    earlier table's is computed once; a cycles table runs the timing model.
+    """
+    unknown = [name for name in subset if name not in workloads]
+    if unknown:
+        raise SystemExit(
+            f"unknown workload(s): {', '.join(unknown)}; "
+            f"available: {', '.join(workloads)}"
         )
-        experiment.run({c: config_factory(c) for c in configs})
-        table.rows[name] = experiment.results
-    return table
+    for name in subset:
+        cells: dict = {}
+        for table, configs in tables:
+            experiment = WorkloadExperiment(
+                workload=workloads[name], timing=table.metric == "cycles",
+                cells=cells,
+            )
+            table.rows[name] = experiment.run(configs)
+    return [table for table, _ in tables]
+
+
+def _orderings() -> dict:
+    return {c: ordering_config(c) for c in TABLE1_ORDERINGS}
+
+
+def _table1() -> tuple:
+    return TableResult(
+        "Table 1: % cycle improvement over basic blocks (phase orderings)",
+        TABLE1_ORDERINGS,
+    ), _orderings()
+
+
+def _table2() -> tuple:
+    return TableResult(
+        "Table 2: % cycle improvement over basic blocks (heuristics)",
+        TABLE2_HEURISTICS,
+    ), {c: heuristic_config(c) for c in TABLE2_HEURISTICS}
+
+
+def _microbench(tables: list, subset: Optional[list[str]]) -> list:
+    return _run_tables(MICROBENCHMARKS, tables, subset or MICROBENCH_ORDER)
 
 
 def table1(subset: Optional[list[str]] = None) -> TableResult:
     """Table 1: phase orderings, cycle counts on the microbenchmarks."""
-    names = subset or MICROBENCH_ORDER
-    return _run_table(
-        "Table 1: % cycle improvement over basic blocks (phase orderings)",
-        MICROBENCHMARKS,
-        TABLE1_ORDERINGS,
-        lambda c: ordering_config(c, BreadthFirstPolicy),
-        timing=True,
-        metric="cycles",
-        subset=names,
-    )
+    return _microbench([_table1()], subset)[0]
 
 
 def table2(subset: Optional[list[str]] = None) -> TableResult:
     """Table 2: VLIW vs EDGE heuristics, cycle counts."""
-    names = subset or MICROBENCH_ORDER
-    return _run_table(
-        "Table 2: % cycle improvement over basic blocks (heuristics)",
-        MICROBENCHMARKS,
-        TABLE2_HEURISTICS,
-        heuristic_config,
-        timing=True,
-        metric="cycles",
-        subset=names,
-    )
+    return _microbench([_table2()], subset)[0]
+
+
+def tables_1_and_2(subset: Optional[list[str]] = None) -> list[TableResult]:
+    """Tables 1 and 2 in one pass: Table 2's BB and BF columns are Table
+    1's BB and (IUPO) cells, computed once."""
+    return _microbench([_table1(), _table2()], subset)
 
 
 def table3(subset: Optional[list[str]] = None) -> TableResult:
     """Table 3: block counts on the SPEC surrogates (functional sim)."""
-    names = subset or SPEC_ORDER
-    return _run_table(
+    table = TableResult(
         "Table 3: % block-count improvement over basic blocks (SPEC "
         "surrogates, functional simulation)",
-        SPEC_BENCHMARKS,
-        TABLE1_ORDERINGS,
-        lambda c: ordering_config(c, BreadthFirstPolicy),
-        timing=False,
-        metric="blocks",
-        subset=names,
+        TABLE1_ORDERINGS, metric="blocks",
     )
+    _run_tables(SPEC_BENCHMARKS, [(table, _orderings())], subset or SPEC_ORDER)
+    return table
 
 
 @dataclass
